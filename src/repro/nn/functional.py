@@ -13,8 +13,14 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro.errors import ShapeError
 from repro.nn.tensor import Tensor, _make
-from repro.sparse.kernels import BackendLike, get_backend
+from repro.sparse.kernels import (
+    BackendLike,
+    SegmentClasses,
+    get_backend,
+    segment_classes,
+)
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -239,31 +245,38 @@ def segment_max(
     segments: np.ndarray,
     num_segments: int,
     backend: BackendLike = None,
+    classes: Optional[SegmentClasses] = None,
 ) -> Tensor:
     """Per-segment elementwise max (ResGCN's max aggregation, Tab. IV).
 
-    Empty segments produce zeros. Gradient routes to the arg-max element of
-    each (segment, feature) pair.
+    Segments with no members produce zeros; every other segment keeps its
+    maximum, infinite or NaN included. The gradient of each (segment,
+    feature) pair is split equally among the rows that reach its maximum.
+
+    ``classes`` is :func:`~repro.sparse.kernels.segment_classes` of
+    ``(segments, num_segments)``: the segments grouped by size, which lets
+    the fast backends run one dense block reduction per class. Callers that
+    aggregate over a fixed segment list many times (``GraphOps``) pass it
+    in; otherwise it is built here.
     """
     kernel = get_backend(backend)
-    segments = np.asarray(segments, dtype=np.int64)
-    feat = x.data.shape[1]
-    data = kernel.segment_max(x.data, segments, num_segments)
-    empty = ~np.isfinite(data)
-    data = np.where(empty, 0.0, data)
+    if classes is None:
+        classes = segment_classes(segments, num_segments)
+    elif (
+        classes.num_segments != num_segments
+        or classes.segments.shape != np.shape(segments)
+    ):
+        raise ShapeError("classes were built for a different segment list")
+    if x.data.shape[0] != classes.segments.shape[0]:
+        raise ShapeError(
+            f"{x.data.shape[0]} rows but {classes.segments.shape[0]} segment ids"
+        )
+    data = kernel.segment_max_by_class(x.data, classes)
+    data[classes.counts == 0] = 0.0
 
     def backward(grad):
-        if not x.requires_grad:
-            return
-        # argmax bookkeeping: rows achieving the max within their segment.
-        winner = x.data == data[segments]
-        g = np.where(winner, grad[segments], 0.0)
-        # If several rows tie, split the gradient equally among them.
-        counts = kernel.segment_sum(
-            winner.astype(np.float64), segments, num_segments
-        )
-        denom = np.maximum(counts[segments], 1.0)
-        x.accumulate_grad(g / denom)
+        if x.requires_grad:
+            x.accumulate_grad(kernel.segment_max_grad(x.data, data, grad, classes))
 
     return _make(data, (x,), backward)
 

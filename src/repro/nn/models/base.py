@@ -25,7 +25,12 @@ import scipy.sparse as sp
 from repro.nn import functional as F
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, reshape
-from repro.sparse.kernels import BackendLike, get_backend
+from repro.sparse.kernels import (
+    BackendLike,
+    SegmentClasses,
+    get_backend,
+    segment_classes,
+)
 
 
 class GraphOps:
@@ -78,6 +83,9 @@ class GraphOps:
         # Row-mean weights (GraphSAGE's mean aggregation over neighbours).
         counts = np.bincount(self.rows, minlength=self.num_nodes).astype(np.float64)
         self.mean_edge_norm = self.base_data / np.maximum(counts[self.rows], 1.0)
+        # The in-degree classes of ``rows`` for max aggregation, built on
+        # the first ``agg_max`` call (only ResGCN aggregates by max).
+        self._max_classes: Optional[SegmentClasses] = None
 
         if edge_weights is None:
             n = self.num_nodes
@@ -135,8 +143,11 @@ class GraphOps:
         gathered = F.gather_rows(x, self.cols, backend=self.kernel)
         if self.edge_weights is not None:
             gathered = gathered * reshape(self.edge_weights, (-1, 1))
+        if self._max_classes is None:
+            self._max_classes = segment_classes(self.rows, self.num_nodes)
         return F.segment_max(
-            gathered, self.rows, self.num_nodes, backend=self.kernel
+            gathered, self.rows, self.num_nodes, backend=self.kernel,
+            classes=self._max_classes,
         )
 
     def attention_aggregate(self, x: Tensor, edge_scores: Tensor) -> Tensor:

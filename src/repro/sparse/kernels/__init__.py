@@ -39,6 +39,7 @@ traffic accounting. CLI surfaces derive their choices from
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -54,6 +55,48 @@ def check_spmm_shapes(a_shape: Tuple[int, ...], b: np.ndarray) -> None:
         raise ShapeError(
             f"cannot multiply {a_shape} by {b.shape}: inner dims differ"
         )
+
+
+@dataclass(frozen=True)
+class SegmentClasses:
+    """Segment members grouped by segment size (a node's in-degree).
+
+    GCoD Step 1's idea applied to the software kernel: the segments of one
+    size ``d`` form a dense ``(n_d, d)`` block of value positions, so a
+    power-law segment list becomes a few regular reductions. Each entry of
+    ``blocks`` is ``(ids, positions)``: the ``n_d`` segment ids of size
+    ``d`` and, row by row, their member positions in ``segments`` (in
+    increasing order). Every position appears in exactly one block; empty
+    segments appear in none (``counts == 0``).
+    """
+
+    segments: np.ndarray
+    num_segments: int
+    counts: np.ndarray
+    blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+
+def segment_classes(segments: np.ndarray, num_segments: int) -> SegmentClasses:
+    """Group the positions of ``segments`` by the size of their segment."""
+    segments = np.asarray(segments, dtype=np.int64)
+    if segments.size and not (
+        0 <= segments.min() and segments.max() < num_segments
+    ):
+        raise IndexError(
+            f"segment ids must lie in [0, {num_segments}); "
+            f"got [{segments.min()}, {segments.max()}]"
+        )
+    counts = np.bincount(segments, minlength=num_segments)
+    order = np.argsort(segments, kind="stable")
+    starts = np.cumsum(counts) - counts
+    by_size = np.argsort(counts, kind="stable")
+    splits = np.flatnonzero(np.diff(counts[by_size])) + 1
+    blocks = tuple(
+        (ids, order[starts[ids][:, None] + np.arange(counts[ids[0]])])
+        for ids in np.split(by_size, splits)
+        if ids.size and counts[ids[0]] > 0
+    )
+    return SegmentClasses(segments, num_segments, counts, blocks)
 
 
 class KernelBackend:
@@ -109,6 +152,33 @@ class KernelBackend:
         out = np.full((num_segments,) + values.shape[1:], -np.inf)
         np.maximum.at(out, segments, values)
         return out
+
+    def segment_max_by_class(
+        self, values: np.ndarray, classes: SegmentClasses
+    ) -> np.ndarray:
+        """:meth:`segment_max` over ``classes.segments``; backends may use
+        the precomputed degree classes instead of the raw segment ids."""
+        return self.segment_max(values, classes.segments, classes.num_segments)
+
+    def segment_max_grad(
+        self,
+        values: np.ndarray,
+        maxima: np.ndarray,
+        grad: np.ndarray,
+        classes: SegmentClasses,
+    ) -> np.ndarray:
+        """Gradient of the segment max with respect to ``values``.
+
+        ``grad[s]`` goes to the rows equal to ``maxima[s]``, split equally
+        among tied rows; every other row gets zero.
+        """
+        segments = classes.segments
+        winner = values == maxima[segments]
+        g = np.where(winner, grad[segments], 0.0)
+        counts = self.segment_sum(
+            winner.astype(np.float64), segments, classes.num_segments
+        )
+        return g / np.maximum(counts[segments], 1.0)
 
     def coo_spmm(
         self,
@@ -284,6 +354,7 @@ __all__ = [
     "CompiledBackend",
     "KernelBackend",
     "ReferenceBackend",
+    "SegmentClasses",
     "TileProfile",
     "TileWork",
     "TiledBackend",
@@ -298,5 +369,6 @@ __all__ = [
     "load_compiled_backend",
     "register_backend",
     "register_lazy_backend",
+    "segment_classes",
     "set_default_backend",
 ]

@@ -91,6 +91,33 @@ def test_segment_max_empty_segment_is_zero():
     np.testing.assert_allclose(out.data[2], 0.0)
 
 
+@pytest.mark.parametrize("backend", ["reference", "vectorized", "tiled"])
+def test_segment_max_keeps_non_finite_maxima(backend):
+    # Only empty segments become zero: an infinite or NaN maximum of a
+    # non-empty segment is kept, and an infinite one keeps its gradient.
+    x = Tensor(np.array([[1.0], [np.inf], [np.nan], [2.0], [-np.inf]]),
+               requires_grad=True)
+    out = F.segment_max(x, np.array([0, 0, 1, 1, 3]), 4, backend=backend)
+    assert out.data[0, 0] == np.inf
+    assert np.isnan(out.data[1, 0])
+    assert out.data[2, 0] == 0.0  # empty
+    assert out.data[3, 0] == -np.inf
+    out.backward(np.array([[3.0], [5.0], [7.0], [11.0]]))
+    assert np.array_equal(x.grad[:, 0], [0.0, 3.0, 0.0, 0.0, 11.0])
+
+
+def test_segment_max_rejects_mismatched_classes():
+    from repro.errors import ShapeError
+    from repro.sparse.kernels import segment_classes
+
+    x = Tensor(np.ones((3, 2)))
+    classes = segment_classes(np.array([0, 1, 1]), 2)
+    with pytest.raises(ShapeError):
+        F.segment_max(x, np.array([0, 1, 1]), 3, classes=classes)
+    with pytest.raises(ShapeError):
+        F.segment_max(Tensor(np.ones((4, 2))), np.array([0, 1, 1]), 2)
+
+
 def test_segment_mean_averages():
     seg = np.array([0, 0, 1])
     x = Tensor(np.array([[2.0], [4.0], [6.0]]))

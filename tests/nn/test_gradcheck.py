@@ -98,6 +98,13 @@ def test_segment_max_gradient(rng):
     check(lambda t: F.segment_max(t, seg, 2), x)
 
 
+def test_segment_max_gradient_many_degree_classes(rng):
+    # Unsorted ids, segment sizes 1, 2, 3 and 4, and empty segments 4, 5.
+    seg = np.array([3, 1, 2, 3, 0, 2, 1, 3, 2, 3])
+    x = rng.normal(size=(seg.size, 3)) * 3.0
+    check(lambda t: F.segment_max(t, seg, 6), x)
+
+
 def test_segment_mean_gradient(rng):
     seg = np.array([0, 1, 1, 2, 2, 2])
     check(lambda t: F.segment_mean(t, seg, 3), rng.normal(size=(6, 2)))

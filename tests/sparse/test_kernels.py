@@ -234,10 +234,71 @@ def test_segment_max_parity(rng, sorted_segments):
         segments = np.sort(segments)
     values = rng.normal(size=(count, 6))
     ref = REF.segment_max(values, segments, num_segments)
-    vec = VEC.segment_max(values, segments, num_segments)
-    # Empty segments stay -inf in both; compare finiteness then values.
-    assert np.array_equal(np.isfinite(ref), np.isfinite(vec))
-    _close(ref[np.isfinite(ref)], vec[np.isfinite(vec)])
+    # A max is exact: every backend must agree bit for bit.
+    for backend in FAST:
+        assert np.array_equal(backend.segment_max(values, segments, num_segments), ref)
+
+
+@pytest.mark.parametrize("sorted_segments", [True, False])
+@pytest.mark.parametrize("width", [None, 1, 6])
+def test_segment_max_by_class_parity(rng, sorted_segments, width):
+    num_segments, count = 12, 70
+    # Skewed sizes: many degree classes, some empty segments.
+    segments = np.minimum(rng.geometric(0.25, count), num_segments - 2)
+    if not sorted_segments:
+        rng.shuffle(segments)
+    else:
+        segments = np.sort(segments)
+    shape = (count,) if width is None else (count, width)
+    # Small integers tie often; the duplicated rows tie exactly.
+    values = rng.integers(-3, 4, shape).astype(np.float64)
+    values[1::7] = values[0]
+    classes = K.segment_classes(segments, num_segments)
+    assert len(classes.blocks) >= 3 and (classes.counts == 0).any()
+    grad = rng.normal(size=(num_segments,) + shape[1:])
+    ref = REF.segment_max_by_class(values, classes)
+    ref_grad = REF.segment_max_grad(values, ref, grad, classes)
+    assert np.array_equal(ref, REF.segment_max(values, segments, num_segments))
+    for backend in FAST:
+        out = backend.segment_max_by_class(values, classes)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(
+            backend.segment_max_grad(values, ref, grad, classes), ref_grad
+        )
+
+
+def test_segment_classes_cover_every_position_once(rng):
+    segments = rng.integers(0, 15, 90)
+    segments[segments == 4] = 5  # segment 4 is empty
+    classes = K.segment_classes(segments, 16)
+    assert np.array_equal(classes.counts, np.bincount(segments, minlength=16))
+    seen = np.concatenate([pos.ravel() for _, pos in classes.blocks])
+    assert np.array_equal(np.sort(seen), np.arange(segments.size))
+    for ids, positions in classes.blocks:
+        size = positions.shape[1]
+        assert np.all(classes.counts[ids] == size)
+        assert np.all(segments[positions] == ids[:, None])
+        assert np.all(np.diff(positions, axis=1) > 0)
+    assert 4 not in np.concatenate([ids for ids, _ in classes.blocks])
+
+
+def test_segment_classes_of_nothing():
+    classes = K.segment_classes(np.zeros(0, int), 3)
+    assert classes.blocks == () and not classes.counts.any()
+    for backend in [REF] + FAST:
+        out = backend.segment_max_by_class(np.zeros((0, 2)), classes)
+        assert out.shape == (3, 2) and np.all(np.isneginf(out))
+        grad = backend.segment_max_grad(
+            np.zeros((0, 2)), out, np.ones((3, 2)), classes
+        )
+        assert grad.shape == (0, 2)
+
+
+def test_segment_classes_reject_out_of_range_ids():
+    with pytest.raises(IndexError):
+        K.segment_classes(np.array([0, 3]), 3)
+    with pytest.raises(IndexError):
+        K.segment_classes(np.array([-1, 0]), 3)
 
 
 def test_segment_primitives_empty_input(rng):
